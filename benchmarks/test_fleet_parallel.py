@@ -50,12 +50,17 @@ def test_fleet_trajectory(device, bench_record):
             result = table5(device, workers=workers, **FLEET_KWARGS)
             best = min(best, time.perf_counter() - started)
             assert result.apps_tested == FLEET_KWARGS["corpus_size"]
-        return best
+        return best, result.actions_executed
 
-    serial = best_seconds(1)
-    sharded = best_seconds(2)
-    actions = FLEET_KWARGS["users"] * FLEET_KWARGS["actions_per_user"]
-    total_actions = actions * FLEET_KWARGS["corpus_size"]
+    serial, total_actions = best_seconds(1)
+    sharded, sharded_actions = best_seconds(2)
+    # Clean apps run fewer sessions, so fewer actions execute than
+    # users x actions x apps.
+    assert sharded_actions == total_actions
+    assert 0 < total_actions < (
+        FLEET_KWARGS["users"] * FLEET_KWARGS["actions_per_user"]
+        * FLEET_KWARGS["corpus_size"]
+    )
     bench_record(
         "fleet", "table5.serial_s", serial,
         unit="s", higher_is_better=False, tolerance=None,

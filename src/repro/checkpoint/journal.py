@@ -41,8 +41,10 @@ from repro.telemetry import active as _telemetry_active
 from repro.telemetry import current as _telemetry_current
 
 #: Journal layout version (bumped on incompatible changes; a mismatch
-#: resets the journal, never misreads it).
-JOURNAL_SCHEMA = 1
+#: resets the journal, never misreads it).  Bumped to 2 when the Hang
+#: Doctor harnesses moved to filter-only engines (another sample
+#: universe), so older shards never mix into a resumed run.
+JOURNAL_SCHEMA = 2
 
 
 def run_key(*parts):

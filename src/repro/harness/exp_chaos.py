@@ -8,7 +8,8 @@ detection quality survives when the monitors are flaky?*
 
 For each fault rate the sweep deploys Hang Doctor on a set of catalog
 apps exactly the way the Table 5 fleet study does — per-app seeds via
-:func:`~repro.harness.exp_fleet.fleet_app_seed`, the same session
+:func:`~repro.harness.exp_fleet.fleet_app_seed`, engines from
+:func:`~repro.harness.exp_fleet.doctor_engine`, the same session
 generator, one :func:`~repro.detectors.runner.run_detector` pass per
 user — but with a :class:`~repro.faults.FaultPlan` (scaled by the
 rate) attached, then reports the precision/recall/overhead degradation
@@ -39,10 +40,9 @@ from repro.core.persistence import load_report, report_to_json
 from repro.detectors.runner import DetectorRun, run_detector
 from repro.faults import FaultPlan
 from repro.harness.exp_comparison import FIGURE8_APPS
-from repro.harness.exp_fleet import fleet_app_seed
+from repro.harness.exp_fleet import doctor_engine, fleet_app_seed
 from repro.harness.tables import render_table
 from repro.parallel import ExecutionReport
-from repro.sim.engine import ExecutionEngine
 from repro.telemetry import current as telemetry
 
 #: Default fault-rate grid of the sweep.
@@ -179,8 +179,9 @@ def _chaos_cell(payload):
     the process pool can pickle it); returns a :class:`ChaosCell`.
 
     Mirrors :func:`repro.harness.exp_fleet._run_fleet_app` exactly —
-    same engine/seed/session structure — so the rate-0 cell reproduces
-    the fleet study's fault-free numbers bit-for-bit.
+    same seed and session structure, and the engine comes from the
+    same :func:`~repro.harness.exp_fleet.doctor_engine` — so the rate-0
+    cell reproduces the fleet study's fault-free numbers bit-for-bit.
     """
     device, seed, rate, app_name, users, actions_per_user = payload
     tel = telemetry()
@@ -189,7 +190,7 @@ def _chaos_cell(payload):
         app = get_app(app_name)
         plan = FaultPlan.uniform(rate)
         app_seed = fleet_app_seed(seed, app_name)
-        engine = ExecutionEngine(device, seed=app_seed)
+        engine = doctor_engine(device, app_seed)
         doctor = HangDoctor(app, device, seed=app_seed, faults=plan)
         generator = SessionGenerator(seed=seed)
         runs = []

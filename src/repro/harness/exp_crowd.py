@@ -45,9 +45,9 @@ from repro.core.hang_doctor import HangDoctor
 from repro.crowd import CrowdAggregator, CrowdKnowledge, ReportBatch
 from repro.detectors.runner import run_detector
 from repro.faults import FaultInjector, FaultPlan
+from repro.harness.exp_fleet import doctor_engine
 from repro.harness.tables import render_table
 from repro.parallel import ExecutionReport
-from repro.sim.engine import ExecutionEngine
 from repro.telemetry import current as telemetry
 
 #: Default fleet sizes of the sweep (devices per fleet).
@@ -115,7 +115,7 @@ def _crowd_device_round(payload):
         for app_name in app_names:
             app = get_app(app_name)
             app_seed = substream_seed(round_seed, app_name)
-            engine = ExecutionEngine(device, seed=app_seed)
+            engine = doctor_engine(device, app_seed)
             doctor = HangDoctor(
                 app, device, seed=app_seed,
                 blocking_db=BlockingApiDatabase(db_names),

@@ -59,6 +59,24 @@ def fleet_app_seed(seed, app_name):
     return substream_seed(seed, "fleet", app_name)
 
 
+def doctor_engine(device, seed, config=None):
+    """Engine for a simulated deployment whose only counter reader is
+    Hang Doctor.
+
+    S-Checker reads just ``config.filter_events()`` (paper §3.3.1), so
+    the engine computes only those: the lazy counter model skips the
+    PMU block for the kernel-only default set.  The footnote-2
+    network extension needs nothing extra — every engine records
+    main-thread network bytes.  The fleet, chaos, crowd, stream and
+    scenario harnesses all build their engines here, so they share
+    one sample universe; the other paper artifacts (Tables 3, 4 and
+    6, Figure 8) keep full-mode engines.
+    """
+    config = config or HangDoctorConfig()
+    return ExecutionEngine(device, seed=seed,
+                           counter_events=config.filter_events())
+
+
 @dataclass
 class Table5Row:
     """Per-app outcome of the fleet run."""
@@ -82,6 +100,10 @@ class Table5Result:
     clean_apps_flagged: int
     #: Unknown blocking APIs added to the database at runtime.
     new_blocking_apis: List[str]
+    #: Actions the engines executed across the fleet (clean apps run
+    #: fewer sessions, so this is below ``users × actions × apps``);
+    #: the unit of fleet throughput.  Not rendered.
+    actions_executed: int = 0
     #: How the fleet run actually executed (supervision events,
     #: checkpoint hits); advisory — never part of the rendered output.
     execution: Optional[ExecutionReport] = field(
@@ -125,12 +147,14 @@ class Table5Result:
         rows = []
         apps_tested = 0
         clean_flagged = 0
+        actions = 0
         seen = set()
         discoveries = []
         for part in parts:
             rows.extend(part.rows)
             apps_tested += part.apps_tested
             clean_flagged += part.clean_apps_flagged
+            actions += part.actions_executed
             for name in part.new_blocking_apis:
                 if name not in seen:
                     seen.add(name)
@@ -140,6 +164,7 @@ class Table5Result:
             apps_tested=apps_tested,
             clean_apps_flagged=clean_flagged,
             new_blocking_apis=discoveries,
+            actions_executed=actions,
         )
 
     def render(self):
@@ -175,19 +200,21 @@ def _run_fleet_app(app, device, seed, users, actions_per_user, config,
                    generator, scanner, blocking_db, crowd_kb=None):
     """Deploy Hang Doctor on one app of the corpus.
 
-    Returns ``(row, clean_flagged)``: a :class:`Table5Row` for catalog
-    (bug-bearing) apps or ``None`` for generated clean ones, plus 1 if
-    a clean app was wrongly flagged.  *crowd_kb* (a
+    Returns ``(row, clean_flagged, actions)``: a :class:`Table5Row` for
+    catalog (bug-bearing) apps or ``None`` for generated clean ones, 1
+    if a clean app was wrongly flagged, and the number of actions the
+    engine executed.  *crowd_kb* (a
     :class:`~repro.crowd.CrowdKnowledge`) lets the device short-circuit
     fleet-diagnosed bugs instead of re-collecting traces.
     """
     app_seed = fleet_app_seed(seed, app.name)
-    engine = ExecutionEngine(device, seed=app_seed)
+    engine = doctor_engine(device, app_seed, config)
     doctor = HangDoctor(
         app, device, config=config, blocking_db=blocking_db, seed=app_seed,
         crowd_kb=crowd_kb,
     )
     detections = []
+    actions = 0
     is_catalog = bool(app.hang_bug_operations())
     app_users = users if is_catalog else max(1, users // 2)
     per_user = actions_per_user if is_catalog else actions_per_user // 3
@@ -195,11 +222,12 @@ def _run_fleet_app(app, device, seed, users, actions_per_user, config,
         executions = engine.run_session(
             app, session.action_names, gap_ms=1000.0
         )
+        actions += len(executions)
         run = run_detector(doctor, executions, device_id=session.user_id)
         detections.extend(run.detections)
     detected_sites = detected_bug_sites(app, detections)
     if not is_catalog:
-        return None, (1 if detections else 0)
+        return None, (1 if detections else 0), actions
     offline_sites = scanner.detected_sites(app)
     missed = [s for s in detected_sites if s not in offline_sites]
     row = Table5Row(
@@ -212,7 +240,7 @@ def _run_fleet_app(app, device, seed, users, actions_per_user, config,
         missed_offline=len(missed),
         ground_truth_bugs=len(app.hang_bug_operations()),
     )
-    return row, 0
+    return row, 0, actions
 
 
 def _table5_shard(payload):
@@ -233,6 +261,7 @@ def _table5_shard(payload):
     ))
     rows = []
     clean_flagged = 0
+    actions = 0
     tel = telemetry()
     for index in indices:
         # Track per app, not per shard: Table 5 shards are worker-count
@@ -240,18 +269,20 @@ def _table5_shard(payload):
         # of traces across --workers.
         with tel.track(f"fleet/{apps[index].name}"):
             tel.count("fleet.apps.run")
-            row, flagged = _run_fleet_app(
+            row, flagged, executed = _run_fleet_app(
                 apps[index], device, seed, users, actions_per_user,
                 config, generator, scanner, blocking_db, crowd_kb=crowd_kb,
             )
         if row is not None:
             rows.append(row)
         clean_flagged += flagged
+        actions += executed
     return Table5Result(
         rows=rows,
         apps_tested=len(indices),
         clean_apps_flagged=clean_flagged,
         new_blocking_apis=blocking_db.runtime_discoveries(),
+        actions_executed=actions,
     )
 
 

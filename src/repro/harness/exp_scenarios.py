@@ -3,7 +3,8 @@
 Deploys Hang Doctor on a taxonomy-generated fleet
 (:mod:`repro.scenarios`) exactly the way the Table 5 study deploys it
 on the paper corpus — per-app seeds via
-:func:`~repro.harness.exp_fleet.fleet_app_seed`, the same session
+:func:`~repro.harness.exp_fleet.fleet_app_seed`, engines from
+:func:`~repro.harness.exp_fleet.doctor_engine`, the same session
 generator, one :func:`~repro.detectors.runner.run_detector` pass per
 user — and scores every app against its archetype's ground truth,
 producing a precision/recall/false-positive table per archetype.
@@ -44,7 +45,7 @@ from repro.core.blocking_db import BlockingApiDatabase
 from repro.core.hang_doctor import HangDoctor
 from repro.detectors.offline import OfflineScanner
 from repro.detectors.runner import run_detector
-from repro.harness.exp_fleet import fleet_app_seed
+from repro.harness.exp_fleet import doctor_engine, fleet_app_seed
 from repro.harness.tables import render_table
 from repro.parallel import ExecutionReport, resolve_workers
 from repro.scenarios import (
@@ -57,7 +58,6 @@ from repro.scenarios import (
     render_mix,
 )
 from repro.sched import CostModel, pack_by_weight
-from repro.sim.engine import ExecutionEngine
 from repro.telemetry import current as telemetry
 
 
@@ -204,12 +204,13 @@ def _run_scenario_app(entry, device, seed, users, actions_per_user,
     """Deploy Hang Doctor on one generated app; returns a ScenarioCell.
 
     Mirrors :func:`repro.harness.exp_fleet._run_fleet_app` — same
-    engine/seed/session structure — so scenario numbers are directly
-    comparable to the Table 5 fleet study's.
+    seed and session structure, and the engine comes from the same
+    :func:`~repro.harness.exp_fleet.doctor_engine` — so scenario
+    numbers are directly comparable to the Table 5 fleet study's.
     """
     app = entry.app
     app_seed = fleet_app_seed(seed, app.name)
-    engine = ExecutionEngine(device, seed=app_seed)
+    engine = doctor_engine(device, app_seed, config)
     doctor = HangDoctor(
         app, device, config=config, blocking_db=blocking_db,
         seed=app_seed,
